@@ -38,8 +38,6 @@ __all__ = ["NRP"]
 class _PPRSeriesOperator:
     """Matrix-free truncated PPR matrix ``sum_l alpha (1-alpha)^l T^l``."""
 
-    __array_ufunc__ = None
-
     def __init__(self, transition: sp.csr_matrix, alpha: float, tau: int):
         self._t = transition
         self._weights = np.array(
@@ -61,17 +59,12 @@ class _PPRSeriesOperator:
     def __matmul__(self, block: np.ndarray) -> np.ndarray:
         return self._series(self._t, block)
 
-    def __rmatmul__(self, block: np.ndarray) -> np.ndarray:
-        return (self.T @ np.asarray(block).T).T
-
     @property
     def T(self) -> "_TransposedSeries":
         return _TransposedSeries(self)
 
 
 class _TransposedSeries:
-    __array_ufunc__ = None
-
     def __init__(self, parent: _PPRSeriesOperator):
         self._parent = parent
 

@@ -228,8 +228,7 @@ class ProximityOperator:
         return self._h.matmat(wx)
 
     def __rmatmul__(self, block: np.ndarray) -> np.ndarray:
-        # block @ P  ==  (P.T @ block.T).T; needed for the Rayleigh-Ritz
-        # projection step of the randomized SVD.
+        # block @ P  ==  (P.T @ block.T).T
         return (self.T @ np.asarray(block).T).T
 
     @property

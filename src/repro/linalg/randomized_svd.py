@@ -23,7 +23,7 @@ Two strategies are provided:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
@@ -332,24 +332,24 @@ def randomized_svd(
                 with collector.stage("power_iter"):
                     basis = _power_iteration_basis(apply, apply_t, omega, q)
 
-        # Rayleigh-Ritz: project onto the basis, solve the small dense SVD.
-        # Always against the original (float64) matrix — this is the
-        # policy's float64-accumulation step.
+        # Rayleigh-Ritz, QR first: factor the n x c projection
+        # A^T Q = Q_t R_t, then the c x c SVD R_t = U~ S V~^T gives
+        # Q^T A = V~ S (Q_t U~)^T.  The projection always runs against the
+        # original float64 matrix -- the policy's float64-accumulation step.
+        if policy.is_exact:
+            project_t = apply_t
+        else:
+            _, project_t = _make_appliers(matrix, replace(policy, compute="float64"))
         with collector.stage("rayleigh_ritz"):
-            if _is_store(matrix):
-                # (W^T Q)^T == Q^T W entry-for-entry; routing through the
-                # transpose applier keeps the projection budget-bounded.
-                # apply_t owns the operation count for this apply.
-                projected = np.ascontiguousarray(apply_t(basis).T)
-            else:
-                _count_apply(matrix, basis.shape[1])
-                projected = np.asarray(basis.T @ matrix)  # c x n, dense
-            collector.count_svd(projected.shape[0], projected.shape[1])
-            u_small, s, vt = np.linalg.svd(projected, full_matrices=False)
-            collector.count_gemm(basis.shape[0], basis.shape[1], u_small.shape[1])
-            u = basis @ u_small
+            q_t, r_t = thin_qr(project_t(basis))
+            collector.count_svd(r_t.shape[0], r_t.shape[1])
+            u_tilde, s, v_tilde_t = np.linalg.svd(r_t, full_matrices=False)
+            collector.count_gemm(basis.shape[0], basis.shape[1], k)
+            u = basis @ v_tilde_t[:k].T
+            collector.count_gemm(q_t.shape[0], q_t.shape[1], k)
+            vt = (q_t @ u_tilde[:, :k]).T
     s = np.clip(s, 0.0, None)
-    return SVDResult(u=u[:, :k], s=s[:k], vt=vt[:k])
+    return SVDResult(u=u, s=s[:k], vt=vt)
 
 
 def _block_krylov_basis(

@@ -12,7 +12,7 @@ from repro.analysis import (
     singular_profile,
 )
 from repro.core import GEBEPoisson, PoissonPMF, UniformPMF
-from repro.datasets import erdos_renyi_bipartite, figure1_graph
+from repro.datasets import erdos_renyi_bipartite, figure1_graph, power_law_bipartite
 
 
 class TestTheorem31:
@@ -64,6 +64,12 @@ class TestTheorem51:
     def test_bounds_hold(self, graph, k):
         check = check_theorem_5_1(graph, k, epsilon=0.1)
         assert check.holds
+
+    def test_bounds_hold_on_a_tall_power_law_graph(self):
+        """The benchmark's fit-tall shape (|V| = 5 |U|, Zipf degrees, k=32),
+        scaled down so the dense reference SVD stays small."""
+        graph = power_law_bipartite(400, 2000, 3000, exponent=0.8, seed=1)
+        assert check_theorem_5_1(graph, 32, epsilon=0.1).holds
 
     def test_larger_epsilon_larger_bound(self, graph):
         tight = check_theorem_5_1(graph, 5, epsilon=0.05)

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.linalg import exact_svd, krylov_iteration_count, randomized_svd
+from repro.linalg import (
+    exact_svd,
+    krylov_iteration_count,
+    randomized_svd,
+    thin_qr,
+)
 
 
 @pytest.fixture
@@ -122,3 +127,46 @@ class TestIterationCount:
     def test_rejects_non_positive_epsilon(self):
         with pytest.raises(ValueError):
             krylov_iteration_count(100, 0.0)
+
+
+class TestQRFirstRayleighRitz:
+    """The QR-first Rayleigh-Ritz step against a dense SVD of ``Q^T A``.
+
+    ``randomized_svd`` factors the ``n x c`` projection ``A^T Q`` by QR and
+    takes the SVD of the small ``R`` factor; the oracle rebuilds the same
+    power-iteration basis ``Q`` and takes the full SVD of ``Q^T A``.
+    """
+
+    @pytest.mark.parametrize("shape", [(300, 200), (200, 300), (900, 60)])
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+    def test_matches_dense_svd_of_projection(self, shape, sparse):
+        rng = np.random.default_rng(4)
+        m, n = shape
+        rank = 40
+        left, _ = np.linalg.qr(rng.standard_normal((m, rank)))
+        right, _ = np.linalg.qr(rng.standard_normal((n, rank)))
+        dense = (left * np.geomspace(10.0, 0.1, rank)) @ right.T
+        k, oversamples, iterations, seed = 10, 8, 2, 3
+        result = randomized_svd(
+            sp.csr_matrix(dense) if sparse else dense,
+            k,
+            n_oversamples=oversamples,
+            iterations=iterations,
+            rng=np.random.default_rng(seed),
+        )
+
+        omega = np.random.default_rng(seed).standard_normal((n, k + oversamples))
+        basis, _ = thin_qr(dense @ omega)
+        for _ in range(iterations):
+            basis, _ = thin_qr(dense.T @ basis)
+            basis, _ = thin_qr(dense @ basis)
+        u_small, s_ref, vt_ref = np.linalg.svd(basis.T @ dense, full_matrices=False)
+        u_ref = basis @ u_small[:, :k]
+
+        tol = 1e-12 * s_ref[0]
+        np.testing.assert_allclose(result.s, s_ref[:k], rtol=0, atol=tol)
+        signs = np.sign(np.sum(result.u * u_ref, axis=0))
+        np.testing.assert_allclose(result.u * signs, u_ref, rtol=0, atol=tol)
+        np.testing.assert_allclose(
+            result.vt * signs[:, np.newaxis], vt_ref[:k], rtol=0, atol=tol
+        )

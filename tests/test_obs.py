@@ -14,7 +14,8 @@ import pytest
 
 from repro import obs
 from repro.core import GEBEPoisson, PoissonPMF, GEBE
-from repro.datasets import toy_graph
+from repro.datasets import power_law_bipartite, toy_graph
+from repro.graph import BipartiteGraph
 from repro.linalg import krylov_iteration_count
 from repro.obs import (
     NULL,
@@ -177,6 +178,20 @@ class TestMatvecAccounting:
         expected = iterations * 2 * tau * k + k
         assert collector.ops.sparse_matvecs == expected
 
+    @pytest.mark.parametrize("strategy", ["power", "block_krylov"])
+    def test_gebe_p_qr_count_matches_closed_form(self, strategy):
+        """One QR for the start block, one per power half-step (or per
+        Krylov block, plus one for the stacked basis), one in Rayleigh-Ritz."""
+        graph = toy_graph()
+        epsilon = 0.1
+        with obs.collect() as collector:
+            GEBEPoisson(
+                dimension=6, epsilon=epsilon, svd_strategy=strategy, seed=0
+            ).fit(graph)
+        q = krylov_iteration_count(graph.num_v, epsilon, strategy)
+        expected = 2 * q + 2 if strategy == "power" else q + 3
+        assert collector.ops.qr_factorizations == expected
+
     def test_stage_tree_has_the_documented_paths(self):
         with obs.collect() as collector:
             GEBEPoisson(dimension=4, seed=0).fit(toy_graph())
@@ -196,6 +211,34 @@ class TestMatvecAccounting:
             GEBEPoisson(dimension=4, seed=0).fit(toy_graph())
         assert collector.memory.peak_rss_bytes > 0
         assert collector.memory.max_tracked_array_bytes > 0
+
+
+class TestHouseholderFallbackStage:
+    """thin_qr's Householder fallback shows as a ``householder_qr`` stage."""
+
+    @staticmethod
+    def _fallback_paths(graph, dimension):
+        with obs.collect() as collector:
+            GEBEPoisson(dimension=dimension, seed=0).fit(graph)
+        return {
+            path
+            for path in collector.timer.flatten()
+            if path.endswith("/householder_qr")
+        }
+
+    def test_absent_from_a_tall_power_law_fit(self):
+        graph = power_law_bipartite(800, 4000, 6000, exponent=0.8, seed=3)
+        assert self._fallback_paths(graph, 32) == set()
+
+    def test_present_on_a_rank_deficient_fit(self):
+        # Two disjoint complete blocks: W has rank 2, below the 12-wide
+        # iterate block, so its Gram matrix is singular.
+        dense = np.zeros((60, 200))
+        dense[:30, :100] = 1.0
+        dense[30:, 100:] = 1.0
+        paths = self._fallback_paths(BipartiteGraph.from_dense(dense), 4)
+        assert "gebe_p/rsvd/power_iter/householder_qr" in paths
+        assert "gebe_p/rsvd/rayleigh_ritz/householder_qr" in paths
 
 
 # ---------------------------------------------------------------------------

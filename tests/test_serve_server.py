@@ -11,6 +11,7 @@ Runs under ``REPRO_NUM_THREADS=4`` as well (Makefile THREADED_TESTS): the
 whole tier must hold regardless of how the scoring executor is sized.
 """
 
+import http.client
 import json
 import threading
 import time
@@ -427,6 +428,67 @@ class TestQuantizedServing:
         assert body["items"] == [
             expected[user].tolist() for user in (0, 7, 49)
         ]
+
+
+class TestSingleWriteReplies:
+    """Each answer leaves in one write on the handler's ``wfile``.
+
+    Headers written apart from the body meet the client's delayed ACK
+    (Nagle) on a kept-alive connection and stall every answer; counting
+    writes pins the fix without asserting on timing.
+    """
+
+    def test_one_write_per_answer_on_a_kept_alive_connection(
+        self, server, monkeypatch
+    ):
+        from repro.serve import server as server_module
+
+        writes = []
+
+        class CountingWriter:
+            def __init__(self, raw):
+                self._raw = raw
+
+            def write(self, data):
+                writes.append(bytes(data))
+                return self._raw.write(data)
+
+            def __getattr__(self, name):
+                return getattr(self._raw, name)
+
+        original_setup = server_module._Handler.setup
+
+        def setup(handler):
+            original_setup(handler)
+            handler.wfile = CountingWriter(handler.wfile)
+
+        monkeypatch.setattr(server_module._Handler, "setup", setup)
+        host, port = server.url.split("//")[1].split(":")
+        connection = http.client.HTTPConnection(host, int(port), timeout=30)
+        requests = [
+            ("GET", "/healthz", None, 200),
+            ("POST", "/v1/topk", {"user": 1}, 200),
+            ("POST", "/v1/topk", {"users": [0, 2], "n": 3}, 200),
+            ("POST", "/v1/topk", {"user": -1}, 400),
+            # An unknown path leaves its body unread, so the server closes
+            # the connection; the client reopens it for the next request.
+            ("POST", "/v1/nope", {"user": 1}, 404),
+            ("GET", "/healthz", None, 200),
+        ]
+        try:
+            for count, (verb, path, payload, status) in enumerate(requests, 1):
+                body = None if payload is None else json.dumps(payload)
+                connection.request(verb, path, body=body)
+                response = connection.getresponse()
+                answer = response.read()
+                assert response.status == status
+                assert response.will_close == (status == 404)
+                assert len(writes) == count
+                assert writes[-1].startswith(b"HTTP/1.1 ")
+                assert writes[-1].endswith(b"\r\n\r\n" + answer)
+                json.loads(answer)
+        finally:
+            connection.close()
 
 
 class TestRouteTable:
